@@ -3,7 +3,7 @@
  * against the legacy serial shape, on real tuning runs.
  *
  *  1. Serial baseline: one blocking evaluation per candidate, no
- *     cache (the EvolutionaryTuner shape).
+ *     cache (the paper's tuner loop).
  *  2. Session: one parallel ModelEngine batch per generation plus the
  *     evaluation cache. Must produce the *same champion* for the same
  *     seed, faster.

@@ -1,7 +1,6 @@
 #include "engine/engine_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <future>
 
@@ -50,7 +49,7 @@ throwFirstLogRest(const std::vector<std::exception_ptr> &errors)
 
 EnginePool::EnginePool(const EngineFactory &factory, int engineCount,
                        PoolOptions options)
-    : options_(options)
+    : options_(options), lanePool_(engineCount)
 {
     PB_ASSERT(engineCount >= 1, "engine pool needs at least 1 engine");
     instances_.reserve(static_cast<size_t>(engineCount));
@@ -260,29 +259,27 @@ EnginePool::reapWedged()
         thread.join();
 }
 
-EnginePool::ItemStatus
-EnginePool::runItem(
-    Instance &instance, size_t i,
-    const std::function<void(Instance &, size_t)> &evaluateItem,
-    const std::function<void(size_t, std::exception_ptr)> &onFatal,
-    std::vector<std::exception_ptr> &errors)
+bool
+EnginePool::runItem(Instance &instance, size_t i,
+                    const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+                    std::vector<std::exception_ptr> &errors)
 {
     const RetryPolicy &policy = retryPolicy();
     for (int attempt = 1;; ++attempt) {
         try {
             evaluateItem(instance, i);
             recordSuccess(instance);
-            return ItemStatus::Done;
+            return true;
         } catch (const LaneTimeout &) {
             noteTransientFailure();
             recordFailure(instance, /*timedOut=*/true);
-            return ItemStatus::Bounce;
+            return false;
         } catch (const TransientError &) {
             noteTransientFailure();
             if (recordFailure(instance, /*timedOut=*/false))
-                return ItemStatus::Bounce;
+                return false;
             if (attempt >= policy.maxAttempts)
-                return ItemStatus::Bounce;
+                return false;
             noteRetryAttempt();
             recordRetry(instance);
             retryBackoffSleep(policy, attempt);
@@ -290,120 +287,96 @@ EnginePool::runItem(
             // Deterministic property of the configuration, not an
             // instance fault: the evaluation completed.
             recordSuccess(instance);
-            onFatal(i, std::current_exception());
-            return ItemStatus::Done;
+            errors[i] = onFatal(i, std::current_exception());
+            return true;
         } catch (...) {
             recordSuccess(instance);
             errors[i] = std::current_exception();
-            return ItemStatus::Done;
+            return true;
         }
     }
 }
 
-namespace {
-
-/** Shared work queue drained by one thread per lane; bounced items
- * collect in @p leftovers for the serial floor pass. */
 void
-drainLanes(const std::vector<size_t> &laneIndex, size_t count,
-           const std::function<bool(size_t lane)> &laneDead,
-           const std::function<bool(size_t lane, size_t item)> &attempt,
-           std::vector<size_t> &leftovers, std::mutex &leftoverMutex)
+EnginePool::fanOut(const apps::Benchmark &benchmark, size_t count,
+                   const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+                   const OnGiveUp &onGiveUp)
 {
-    std::atomic<size_t> cursor{0};
-    std::vector<std::thread> threads;
-    threads.reserve(laneIndex.size());
-    for (size_t lane : laneIndex) {
-        threads.emplace_back([&, lane] {
-            for (;;) {
-                if (laneDead(lane))
-                    return;
-                size_t item = cursor.fetch_add(1);
-                if (item >= count)
-                    return;
-                if (!attempt(lane, item)) {
-                    std::lock_guard<std::mutex> lock(leftoverMutex);
-                    leftovers.push_back(item);
-                }
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    std::sort(leftovers.begin(), leftovers.end());
-}
-
-} // namespace
-
-std::vector<double>
-EnginePool::measureBatch(const apps::Benchmark &benchmark,
-                         std::span<const tuner::Config> configs, int64_t n)
-{
+    if (count == 0)
+        return;
     Reaper reaper(*this);
-    std::vector<double> results(configs.size(),
-                                std::numeric_limits<double>::quiet_NaN());
-    if (configs.empty())
-        return results;
-
     std::vector<Instance *> lanes = laneSet(benchmark);
-    std::vector<std::exception_ptr> errors(configs.size());
+    if (lanes.size() > count)
+        lanes.resize(count);
     std::vector<size_t> leftovers;
-    std::mutex leftoverMutex;
-
-    auto evaluateItem = [&](Instance &instance, size_t i) {
-        ExecutionEngine *engine = instance.engine.get();
-        results[i] = timedCall(instance, [engine, &benchmark, configs, n,
-                                          i] {
-            return engine->measure(benchmark, configs[i], n);
-        });
-    };
-    auto onFatal = [&](size_t i, std::exception_ptr) {
-        // Infeasible configuration: worst cost, cacheable — unlike the
-        // NaN evaluation-failure sentinel.
-        results[i] = std::numeric_limits<double>::infinity();
-    };
-
-    if (!lanes.empty()) {
-        const size_t laneCount =
-            std::min(lanes.size(), configs.size());
-        std::vector<size_t> laneIndex(laneCount);
-        for (size_t l = 0; l < laneCount; ++l)
-            laneIndex[l] = l;
-        drainLanes(
-            laneIndex, configs.size(),
-            [&](size_t lane) { return isQuarantined(*lanes[lane]); },
-            [&](size_t lane, size_t item) {
-                return runItem(*lanes[lane], item, evaluateItem,
-                               onFatal, errors) == ItemStatus::Done;
-            },
-            leftovers, leftoverMutex);
-    } else {
+    if (lanes.empty()) {
         PB_WARN("all " << instances_.size()
-                       << " pool instances are quarantined; pricing "
-                       << configs.size() << " evaluation(s) as failed");
-        for (size_t i = 0; i < configs.size(); ++i)
+                       << " pool instances are quarantined; giving up on "
+                       << count << " evaluation(s)");
+        for (size_t i = 0; i < count; ++i)
             leftovers.push_back(i);
     }
 
-    // Serial floor: one more pass for bounced items on a surviving
-    // instance; an item that still fails keeps the NaN sentinel. When
-    // instances must not run concurrently, a watchdog-abandoned
-    // evaluation may still be in flight — wait it out first.
+    // Lane l owns items l, l+L, l+2L…; what it cannot finish — bounced,
+    // or its instance quarantined — waits in its own leftovers.
+    std::vector<std::exception_ptr> errors(count);
+    std::vector<std::vector<size_t>> laneLeftovers(lanes.size());
+    lanePool_.parallelFor(lanes.size(), [&](size_t lane) {
+        Instance &instance = *lanes[lane];
+        for (size_t i = lane; i < count; i += lanes.size())
+            if (isQuarantined(instance) ||
+                !runItem(instance, i, evaluateItem, onFatal, errors))
+                laneLeftovers[lane].push_back(i);
+    });
+    for (const std::vector<size_t> &mine : laneLeftovers)
+        leftovers.insert(leftovers.end(), mine.begin(), mine.end());
+    std::sort(leftovers.begin(), leftovers.end());
+
+    // Serial floor: one more pass for leftover items on a surviving
+    // instance, in index order. When instances must not run
+    // concurrently, a watchdog-abandoned evaluation may still be in
+    // flight — wait it out first.
     if (!leftovers.empty() && !concurrentInstancesSafe(benchmark))
         reapWedged();
     for (size_t i : leftovers) {
         Instance *floor = firstLive();
         if (floor != nullptr &&
-            runItem(*floor, i, evaluateItem, onFatal, errors) ==
-                ItemStatus::Done)
+            runItem(*floor, i, evaluateItem, onFatal, errors))
             continue;
         noteEvaluationFailure();
-        PB_WARN("evaluation of batch item "
-                << i << " failed on every available instance; "
-                   "pricing as worst cost (not cached)");
+        errors[i] = onGiveUp(i);
     }
 
     throwFirstLogRest(errors);
+}
+
+std::vector<double>
+EnginePool::measureBatch(const apps::Benchmark &benchmark,
+                         std::span<const tuner::Config> configs, int64_t n)
+{
+    std::vector<double> results(configs.size(),
+                                std::numeric_limits<double>::quiet_NaN());
+    fanOut(
+        benchmark, configs.size(),
+        [&](Instance &instance, size_t i) {
+            ExecutionEngine *engine = instance.engine.get();
+            results[i] = timedCall(instance, [engine, &benchmark, configs,
+                                              n, i] {
+                return engine->measure(benchmark, configs[i], n);
+            });
+        },
+        [&](size_t i, std::exception_ptr) -> std::exception_ptr {
+            // Infeasible configuration: worst cost, cacheable — unlike
+            // the NaN evaluation-failure sentinel.
+            results[i] = std::numeric_limits<double>::infinity();
+            return nullptr;
+        },
+        [](size_t i) -> std::exception_ptr {
+            PB_WARN("evaluation of batch item "
+                    << i << " failed on every available instance; "
+                       "pricing as worst cost (not cached)");
+            return nullptr;
+        });
     return results;
 }
 
@@ -411,66 +384,27 @@ std::vector<RunResult>
 EnginePool::runBatch(const apps::Benchmark &benchmark,
                      std::span<const tuner::Config> configs, int64_t n)
 {
-    Reaper reaper(*this);
     std::vector<RunResult> results(configs.size());
-    if (configs.empty())
-        return results;
-
-    std::vector<Instance *> lanes = laneSet(benchmark);
-    std::vector<std::exception_ptr> errors(configs.size());
-    std::vector<size_t> leftovers;
-    std::mutex leftoverMutex;
-
-    auto evaluateItem = [&](Instance &instance, size_t i) {
-        ExecutionEngine *engine = instance.engine.get();
-        // The watchdog may abandon the evaluation mid-flight, so it
-        // writes a slot it owns, never the shared results array.
-        auto slot = std::make_shared<RunResult>();
-        timedCall(instance,
-                  [engine, slot, &benchmark, configs, n, i]() -> double {
-                      *slot = engine->run(benchmark, configs[i], n);
-                      return 0.0;
-                  });
-        results[i] = *slot;
-    };
-    auto onFatal = [&](size_t i, std::exception_ptr error) {
-        errors[i] = error;
-    };
-
-    if (!lanes.empty()) {
-        const size_t laneCount =
-            std::min(lanes.size(), configs.size());
-        std::vector<size_t> laneIndex(laneCount);
-        for (size_t l = 0; l < laneCount; ++l)
-            laneIndex[l] = l;
-        drainLanes(
-            laneIndex, configs.size(),
-            [&](size_t lane) { return isQuarantined(*lanes[lane]); },
-            [&](size_t lane, size_t item) {
-                return runItem(*lanes[lane], item, evaluateItem,
-                               onFatal, errors) == ItemStatus::Done;
-            },
-            leftovers, leftoverMutex);
-    } else {
-        for (size_t i = 0; i < configs.size(); ++i)
-            leftovers.push_back(i);
-    }
-
-    if (!leftovers.empty() && !concurrentInstancesSafe(benchmark))
-        reapWedged();
-    for (size_t i : leftovers) {
-        Instance *floor = firstLive();
-        if (floor != nullptr &&
-            runItem(*floor, i, evaluateItem, onFatal, errors) ==
-                ItemStatus::Done)
-            continue;
-        noteEvaluationFailure();
-        errors[i] = std::make_exception_ptr(TransientError(
-            "batch item " + std::to_string(i) +
-            " failed on every available pool instance"));
-    }
-
-    throwFirstLogRest(errors);
+    fanOut(
+        benchmark, configs.size(),
+        [&](Instance &instance, size_t i) {
+            ExecutionEngine *engine = instance.engine.get();
+            // The watchdog may abandon the evaluation mid-flight, so it
+            // writes a slot it owns, never the shared results array.
+            auto slot = std::make_shared<RunResult>();
+            timedCall(instance, [engine, slot, &benchmark, configs, n,
+                                 i]() -> double {
+                *slot = engine->run(benchmark, configs[i], n);
+                return 0.0;
+            });
+            results[i] = *slot;
+        },
+        [](size_t, std::exception_ptr error) { return error; },
+        [](size_t i) {
+            return std::make_exception_ptr(TransientError(
+                "batch item " + std::to_string(i) +
+                " failed on every available pool instance"));
+        });
     return results;
 }
 

@@ -7,9 +7,11 @@
  * times that overlap would be garbage), so real-mode batches cannot be
  * parallelized *inside* an engine. The pool owns N independently
  * constructed engines and fans the configurations of one batch across
- * them — a shared work queue drained by one thread per engine, each
- * engine processing its items serially — the same shape as running N
- * autotuner test processes on N machines.
+ * them in fixed lanes: with L lanes, lane l runs items l, l+L, l+2L…
+ * serially in index order on one engine, and the lanes run side by
+ * side on a ThreadPool the pool owns — the same shape as running N
+ * autotuner test processes on N machines. Which instance sees which
+ * item never depends on thread timing.
  *
  * Failure semantics (measureBatch, the tuner path):
  *  - TransientError from an instance is retried on that instance with
@@ -20,8 +22,8 @@
  *    cached measurement.
  *  - An instance accumulating quarantineAfter *consecutive* transient
  *    failures is quarantined: it drops out of this and every later
- *    batch, and the pool degrades to the surviving instances (serial
- *    on the last one as the floor). The final live instance is never
+ *    batch, and the rest of its lane's items go to the serial floor
+ *    pass on the first live instance. The final live instance is never
  *    quarantined for plain transients; per-instance counters record
  *    what happened.
  *  - With deadlineMillis set, every evaluation runs under a watchdog:
@@ -48,6 +50,7 @@
 #include <thread>
 
 #include "engine/execution_engine.h"
+#include "support/thread_pool.h"
 
 namespace petabricks {
 namespace engine {
@@ -137,12 +140,14 @@ class EnginePool : public ExecutionEngine
         std::vector<std::thread> wedged;  ///< watchdog-abandoned evals
     };
 
-    /** What became of one batch item attempted on one instance. */
-    enum class ItemStatus
-    {
-        Done,  ///< result (or recorded error) is final
-        Bounce ///< retries exhausted / instance quarantined: re-queue
-    };
+    /** Evaluates one batch item on an instance and stores its result. */
+    using EvaluateItem = std::function<void(Instance &, size_t)>;
+    /** Maps item i's FatalError to the error to record (null: none). */
+    using OnFatal =
+        std::function<std::exception_ptr(size_t, std::exception_ptr)>;
+    /** What giving up on item i produces: the error to record (null:
+     * none, the result keeps its failure sentinel). */
+    using OnGiveUp = std::function<std::exception_ptr(size_t)>;
 
     /** Joins watchdog-abandoned evaluations when a batch call unwinds,
      * so they can never outlive the configs span they reference. */
@@ -153,6 +158,16 @@ class EnginePool : public ExecutionEngine
         EnginePool &pool_;
     };
 
+    /**
+     * The batch skeleton measureBatch and runBatch share: @p count
+     * items in fixed lanes on lanePool_, then one index-ordered serial
+     * floor pass for whatever a lane could not finish, then the first
+     * recorded error (by index) is rethrown.
+     */
+    void fanOut(const apps::Benchmark &benchmark, size_t count,
+                const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+                const OnGiveUp &onGiveUp);
+
     /** The live instances a batch for @p benchmark may use: all of
      * them, or just the first when concurrent instances are unsafe. */
     std::vector<Instance *> laneSet(const apps::Benchmark &benchmark);
@@ -160,15 +175,12 @@ class EnginePool : public ExecutionEngine
     /**
      * One item (@p i) on one instance, with the pool's retry loop:
      * transient failures back off and retry in place; FatalError and
-     * unexpected exceptions finish the item via @p onFatal / @p errors.
-     * Returns Bounce when the item needs another instance.
+     * unexpected exceptions finish the item, recording into @p errors.
+     * Returns false when the item needs another instance.
      */
-    ItemStatus runItem(Instance &instance, size_t i,
-                       const std::function<void(Instance &, size_t)>
-                           &evaluateItem,
-                       const std::function<void(size_t, std::exception_ptr)>
-                           &onFatal,
-                       std::vector<std::exception_ptr> &errors);
+    bool runItem(Instance &instance, size_t i,
+                 const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+                 std::vector<std::exception_ptr> &errors);
 
     /**
      * Evaluate under the watchdog deadline (runs @p evaluate on a
@@ -195,6 +207,7 @@ class EnginePool : public ExecutionEngine
     PoolOptions options_;
     std::vector<std::unique_ptr<Instance>> instances_;
     mutable std::mutex mutex_; ///< guards stats / quarantine flags
+    ThreadPool lanePool_;      ///< one thread per instance runs the lanes
 };
 
 } // namespace engine

@@ -193,6 +193,9 @@ TEST(EnginePool, SerializesUnsafeBenchmarksInsteadOfRacing)
     ASSERT_EQ(results.size(), 3u);
     for (const RunResult &result : results)
         EXPECT_LE(result.maxError, sort.realModeTolerance());
+    // The single serial lane is the first engine; the second sat idle.
+    EXPECT_EQ(pool.instanceStats(0).calls, 3);
+    EXPECT_EQ(pool.instanceStats(1).calls, 0);
 }
 
 TEST(EnginePool, ModelPoolMatchesSingleEngine)
@@ -223,6 +226,38 @@ TEST(EnginePool, ModelPoolMatchesSingleEngine)
     EXPECT_DOUBLE_EQ(pool.measure(bench, configs[0], 64), 7.0);
     EXPECT_DOUBLE_EQ(pool.run(bench, configs[2], 64).seconds, 2.0);
     EXPECT_EQ(pool.name().rfind("pool[4]:", 0), 0u);
+}
+
+TEST(EnginePool, BindsEachItemToAFixedLane)
+{
+    // Lane l of L runs items l, l+L, l+2L…: 7 configs over 3 healthy
+    // instances split {3, 2, 2} on every batch, whatever order the
+    // lane threads happen to start in.
+    SyntheticBenchmark bench;
+    auto configs = syntheticBatch(bench, {7, 700, 2, 13, 41, 5, 9});
+    ModelEngine reference(sim::MachineProfile::desktop(), 1);
+    std::vector<double> expected =
+        reference.measureBatch(bench, configs, 64);
+
+    for (int batch = 0; batch < 50; ++batch) {
+        EnginePool pool(
+            [] {
+                return std::make_unique<ModelEngine>(
+                    sim::MachineProfile::desktop(), 1);
+            },
+            3);
+        std::vector<double> got = pool.measureBatch(bench, configs, 64);
+        ASSERT_EQ(got.size(), expected.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            if (std::isinf(expected[i]))
+                EXPECT_TRUE(std::isinf(got[i])) << batch << ":" << i;
+            else
+                EXPECT_DOUBLE_EQ(got[i], expected[i]) << batch << ":" << i;
+        }
+        EXPECT_EQ(pool.instanceStats(0).calls, 3) << batch;
+        EXPECT_EQ(pool.instanceStats(1).calls, 2) << batch;
+        EXPECT_EQ(pool.instanceStats(2).calls, 2) << batch;
+    }
 }
 
 TEST(EnginePool, ConfiguresTunerLikeItsEngines)

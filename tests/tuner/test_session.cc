@@ -159,17 +159,6 @@ TEST(TuningSession, BudgetedRunEnforcesValidityOnCompletion)
     EXPECT_THROW(session.run(session.totalSteps()), PanicError);
 }
 
-TEST(TuningSession, MatchesDeprecatedEvolutionaryTuner)
-{
-    BowlEvaluator e1, e2;
-    TuningResult viaSession =
-        TuningSession(e1, bowlSeed(), fastOptions()).run();
-    TuningResult viaShim =
-        EvolutionaryTuner(e2, bowlSeed(), fastOptions()).run();
-    EXPECT_EQ(viaSession.best, viaShim.best);
-    EXPECT_DOUBLE_EQ(viaSession.bestSeconds, viaShim.bestSeconds);
-}
-
 TEST(TuningSession, BatchSerialAndCachedPathsAgreeOnChampion)
 {
     // Same seed, three evaluation paths: serial loop without cache,
