@@ -22,7 +22,6 @@
  * Usage: fig9_portability [--short] [--out PATH]
  */
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -36,6 +35,7 @@
 #include "common.h"
 #include "portfolio/dispatcher.h"
 #include "portfolio/portfolio.h"
+#include "support/hash.h"
 #include "tuner/portfolio_tuner.h"
 
 using namespace petabricks;
@@ -49,14 +49,6 @@ jsonNum(double v)
         return "null";
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return buf;
-}
-
-std::string
-hex16(uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
     return buf;
 }
 

@@ -6,9 +6,10 @@
 #   2. Graceful drain: SIGTERM tunerd with detached work in flight; it
 #      must finish the in-flight stepping, checkpoint every session,
 #      and exit 0 — and a restart must resume to the identical champion.
-#   3. Corrupt-spool boot: plant torn .meta/.ckpt files in the spool;
-#      the daemon must quarantine them, report the count in /stats, and
-#      keep serving new sessions.
+#   3. Corrupt-spool boot: plant torn .meta/.ckpt files in the spool,
+#      plus a copy of leg 2's live pair whose .ckpt has one digit
+#      edited; the daemon must quarantine them, report the count in
+#      /stats, and keep serving new sessions.
 #   4. Shared-cache persistence: run a search with --cache-dir, SIGTERM
 #      drain, plant a torn cache segment, restart on the same cache
 #      dir; the rerun must be served shared-cache hits (cross-session,
@@ -104,6 +105,8 @@ if ! diff -u "$WORK/expected.txt" "$WORK/resumed.txt"; then
     fail "resumed champion differs from the uninterrupted run"
 fi
 echo "daemon_smoke: PASS leg 1 (SIGKILL: resumed champion identical)"
+kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
+DAEMON_PID=""
 
 # ===========================================================================
 # Leg 2: SIGTERM drain — finish in-flight work, checkpoint, exit 0.
@@ -149,16 +152,26 @@ SPOOL="$WORK/spool-fsck"
 mkdir -p "$SPOOL"
 printf 'spec.benchmark = Sort\ntrunca' > "$SPOOL/s90.meta" # torn mid-write
 printf 'not a checkpoint at all' > "$SPOOL/s92.ckpt"       # orphan garbage
+# Leg 2's drained session under a fresh id, its .ckpt still parseable
+# but with the last digit of one member's cost changed (d -> d+1 mod
+# 10): only the file checksum can tell.
+cp "$WORK/spool-drain/$SESSION.meta" "$SPOOL/s93.meta"
+sed -E '/^population\.0\.seconds = /{h;s/.*(.)$/\1/;y/0123456789/1234567890/;x;s/.$//;G;s/\n//}' \
+    "$WORK/spool-drain/$SESSION.ckpt" > "$SPOOL/s93.ckpt"
+cmp -s "$WORK/spool-drain/$SESSION.ckpt" "$SPOOL/s93.ckpt" \
+    && fail "fsck leg: the digit edit left the checkpoint unchanged"
 start_daemon
 echo "daemon_smoke: fsck leg daemon up on port $PORT (pid $DAEMON_PID)"
 
 "$CLIENT" --port "$PORT" stats > "$WORK/fsck-stats.txt" \
     || fail "fsck leg: stats failed"
 QUARANTINED=$(sed -n 's/^table.spoolQuarantined = //p' "$WORK/fsck-stats.txt")
-[ "${QUARANTINED:-0}" -ge 2 ] \
-    || fail "expected >=2 quarantined spool entries, got '${QUARANTINED:-}'"
+[ "${QUARANTINED:-0}" -ge 3 ] \
+    || fail "expected >=3 quarantined spool entries, got '${QUARANTINED:-}'"
 [ -f "$SPOOL/s90.meta.quarantine" ] || fail "torn meta was not quarantined"
 [ -f "$SPOOL/s92.ckpt.quarantine" ] || fail "orphan ckpt was not quarantined"
+[ -f "$SPOOL/s93.meta.quarantine" ] && [ -f "$SPOOL/s93.ckpt.quarantine" ] \
+    || fail "digit-edited checkpoint pair was not quarantined"
 
 # The daemon must still serve real work off the fsck'd spool.
 "$CLIENT" --port "$PORT" run "${SEARCH_ARGS[@]}" > "$WORK/fsck-run.txt" \

@@ -20,29 +20,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Checksum covering every record, in index order. */
-uint64_t
-recordsChecksum(const std::vector<SegmentRecord> &records)
-{
-    Fnv1a hash;
-    for (const SegmentRecord &record : records) {
-        hash.mix(record.scope);
-        hash.mix(static_cast<uint64_t>(record.inputSize));
-        hash.mix(record.fingerprint);
-        hash.mix(record.seconds);
-    }
-    return hash.value();
-}
-
 std::string
 recordToText(const SegmentRecord &record)
 {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "%016" PRIx64 " %" PRId64 " %016" PRIx64 " %016" PRIx64,
-                  record.scope, record.inputSize, record.fingerprint,
-                  std::bit_cast<uint64_t>(record.seconds));
-    return buf;
+    return hex16(record.scope) + " " + std::to_string(record.inputSize) +
+           " " + hex16(record.fingerprint) + " " +
+           hex16(std::bit_cast<uint64_t>(record.seconds));
 }
 
 SegmentRecord
@@ -132,11 +115,6 @@ SegmentStore::parseSegment(const std::string &path)
     for (int64_t i = 0; i < count; ++i)
         records.push_back(
             recordFromText(kv.get("entry." + std::to_string(i))));
-    uint64_t checksum = 0;
-    if (std::sscanf(kv.get("segment.checksum").c_str(), "%" SCNx64,
-                    &checksum) != 1 ||
-        checksum != recordsChecksum(records))
-        PB_FATAL("'" << path << "' fails its checksum (torn write?)");
     return records;
 }
 
@@ -175,10 +153,6 @@ SegmentStore::append(const std::vector<SegmentRecord> &records)
     kv.setInt("segment.count", static_cast<int64_t>(records.size()));
     for (size_t i = 0; i < records.size(); ++i)
         kv.set("entry." + std::to_string(i), recordToText(records[i]));
-    char checksum[24];
-    std::snprintf(checksum, sizeof(checksum), "%016" PRIx64,
-                  recordsChecksum(records));
-    kv.set("segment.checksum", checksum);
 
     // The index advances even if the write fails: a later retry gets a
     // fresh slot, and the failed slot's number is never reused (same

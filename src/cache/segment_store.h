@@ -20,8 +20,8 @@
  *
  *     segment.version  = 1
  *     segment.count    = <records>
- *     segment.checksum = <fnv1a of every record, hex>
  *     entry.<i>        = <scope-hex> <n> <fingerprint-hex> <bits-hex>
+ *     kv.checksum      = <written and verified by KvFile>
  *
  * Seconds are serialized as the double's exact bit pattern, so a value
  * that round-trips through disk compares bit-identical to the one the

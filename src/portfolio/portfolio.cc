@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cctype>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <limits>
 
@@ -37,60 +35,15 @@ slugify(const std::string &name)
     return slug;
 }
 
-std::string
-hex16(uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-    return buf;
-}
-
-uint64_t
-parseHex16(const std::string &text, const char *what)
-{
-    uint64_t value = 0;
-    char trailing = 0;
-    if (std::sscanf(text.c_str(), "%" SCNx64 " %c", &value, &trailing) != 1)
-        PB_FATAL("malformed " << what << " '" << text << "'");
-    return value;
-}
-
-/** Content checksum over every entry except the checksum itself, in
- * sorted key order — any torn or edited byte fails the load. */
-uint64_t
-contentChecksum(const KvFile &kv)
-{
-    Fnv1a hash;
-    for (const std::string &key : kv.keys()) {
-        if (key == "portfolio.checksum")
-            continue;
-        hash.mix(key);
-        hash.mix(kv.get(key));
-    }
-    return hash.value();
-}
-
 KvFile
 recordToKv(const ChampionRecord &record)
 {
     KvFile kv;
     kv.setInt("portfolio.version", 1);
-    kv.set("champion.benchmark", record.benchmark);
-    kv.set("champion.machine", record.machineName);
-    kv.set("champion.machineFingerprint",
-           hex16(record.machineFingerprint));
-    kv.setInt("champion.inputSize", record.inputSize);
-    // The decimal is advisory (humans diffing the file); the bit
-    // pattern is the value that round-trips exactly.
-    kv.setDouble("champion.seconds", record.seconds);
-    kv.set("champion.secondsBits",
-           hex16(std::bit_cast<uint64_t>(record.seconds)));
-    kv.set("champion.configFingerprint",
-           hex16(record.configFingerprint));
+    championToKv(kv, "champion.", record);
     KvFile configKv = record.config.toKv();
     for (const std::string &key : configKv.keys())
         kv.set("config." + key, configKv.get(key));
-    kv.set("portfolio.checksum", hex16(contentChecksum(kv)));
     return kv;
 }
 
@@ -100,9 +53,6 @@ recordFromFile(const std::string &path)
     KvFile kv = KvFile::load(path);
     if (kv.getIntOr("portfolio.version", -1) != 1)
         PB_FATAL("'" << path << "' is not a portfolio champion file");
-    if (parseHex16(kv.get("portfolio.checksum"), "portfolio checksum") !=
-        contentChecksum(kv))
-        PB_FATAL("'" << path << "' fails its checksum (torn write?)");
 
     ChampionRecord record;
     record.benchmark = kv.get("champion.benchmark");
@@ -133,6 +83,22 @@ recordFromFile(const std::string &path)
 }
 
 } // namespace
+
+void
+championToKv(KvFile &kv, const std::string &prefix,
+             const ChampionRecord &record)
+{
+    kv.set(prefix + "benchmark", record.benchmark);
+    kv.set(prefix + "machine", record.machineName);
+    kv.set(prefix + "machineFingerprint", hex16(record.machineFingerprint));
+    kv.setInt(prefix + "inputSize", record.inputSize);
+    // The decimal is advisory (humans diffing the file); the bit
+    // pattern is the value that round-trips exactly.
+    kv.setDouble(prefix + "seconds", record.seconds);
+    kv.set(prefix + "secondsBits",
+           hex16(std::bit_cast<uint64_t>(record.seconds)));
+    kv.set(prefix + "configFingerprint", hex16(record.configFingerprint));
+}
 
 ChampionPortfolio::ChampionPortfolio(std::string dir, bool fsck)
     : dir_(std::move(dir)), fsck_(fsck)

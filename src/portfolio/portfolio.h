@@ -13,10 +13,11 @@
  * "which stored program should run for (benchmark, n, machine)?".
  *
  * Persistence follows the cache segment-store idiom: one kvfile per
- * champion, content checksum over every field, the cost serialized as
- * exact IEEE-754 bits (the human-readable decimal is advisory), writes
- * via temp-file + atomic rename, and a load pass that quarantines any
- * torn/corrupt file (renamed to *.quarantine) instead of failing the
+ * champion, guarded by the `kv.checksum` line KvFile writes and
+ * verifies for every persisted file; the cost serialized as exact
+ * IEEE-754 bits (the human-readable decimal is advisory); writes via
+ * temp-file + atomic rename; and a load pass that renames any torn,
+ * edited or pre-checksum file to *.quarantine instead of failing the
  * boot. Champions are keyed by machine *content* fingerprint
  * (MachineProfile::fingerprint()), so a profile edit orphans its old
  * champions rather than serving stale programs.
@@ -56,6 +57,12 @@ struct ChampionRecord
      * dispatch determinism guarantee is stated in. */
     uint64_t configFingerprint = 0;
 };
+
+/** Render @p record's identity and cost under @p prefix (fingerprints
+ * and the cost's bit pattern as hex, the decimal cost advisory): the
+ * layout champion files and the daemon's champion bodies share. */
+void championToKv(KvFile &kv, const std::string &prefix,
+                  const ChampionRecord &record);
 
 /** Load/store accounting, for /stats and tests. */
 struct PortfolioStats

@@ -142,10 +142,8 @@ SessionSpec::fromKv(const KvFile &kv)
     spec.tuner.kernelCompileSeconds =
         kv.getDouble("spec.kernelCompileSeconds");
     spec.tuner.irCacheSavings = kv.getDouble("spec.irCacheSavings");
-    // Absent in pre-fault-injection spool files: default to disabled.
-    if (kv.has("spec.faultRate"))
-        spec.faultRate = kv.getDouble("spec.faultRate");
-    spec.faultSeed = kv.getIntOr("spec.faultSeed", spec.faultSeed);
+    spec.faultRate = kv.getDouble("spec.faultRate");
+    spec.faultSeed = kv.getInt("spec.faultSeed");
     return spec;
 }
 

@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <poll.h>
 #include <vector>
 
@@ -11,6 +9,7 @@
 #include "portfolio/dispatcher.h"
 #include "sim/machine.h"
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/logging.h"
 #include "tuner/portfolio_tuner.h"
 
@@ -85,33 +84,6 @@ routesToWorker(const std::string &path)
     return path == "/step" || path == "/create" || path == "/champion" ||
            path == "/resume" || path == "/stop" ||
            path == "/portfolio/tune" || path == "/portfolio/champion";
-}
-
-/** 16-digit lower-case hex, the wire form for every fingerprint. */
-std::string
-hex16(uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-    return buffer;
-}
-
-/** Render one stored champion under @p prefix (fingerprints as hex,
- * cost both human-readable and bit-exact, config values inline). */
-void
-championToKv(KvFile &kv, const std::string &prefix,
-             const portfolio::ChampionRecord &record)
-{
-    kv.set(prefix + "benchmark", record.benchmark);
-    kv.set(prefix + "machine", record.machineName);
-    kv.set(prefix + "machineFingerprint",
-           hex16(record.machineFingerprint));
-    kv.setInt(prefix + "inputSize", record.inputSize);
-    kv.setDouble(prefix + "seconds", record.seconds);
-    kv.set(prefix + "secondsBits",
-           hex16(std::bit_cast<uint64_t>(record.seconds)));
-    kv.set(prefix + "configFingerprint",
-           hex16(record.configFingerprint));
 }
 
 const std::string &
@@ -524,8 +496,8 @@ TuningServer::dispatch(const HttpRequest &request)
         kv.setInt("portfolio.quarantined", stats.quarantined);
         kv.setInt("portfolio.stored", stats.stored);
         for (size_t i = 0; i < records.size(); ++i)
-            championToKv(kv, "champion." + std::to_string(i) + ".",
-                         records[i]);
+            portfolio::championToKv(
+                kv, "champion." + std::to_string(i) + ".", records[i]);
         return HttpResponse::ok(kv.toString());
     }
 
@@ -549,7 +521,7 @@ TuningServer::dispatch(const HttpRequest &request)
             dispatcher.dispatch(*benchmark, n, machine, options);
 
         KvFile kv;
-        championToKv(kv, "champion.", decision.champion);
+        portfolio::championToKv(kv, "champion.", decision.champion);
         kv.set("dispatch.policy", decision.policy);
         kv.setInt("dispatch.requestedSize", n);
         kv.setDouble("dispatch.pricedSeconds", decision.pricedSeconds);

@@ -77,8 +77,9 @@ struct SessionTableOptions
 
     /**
      * Verify every spooled session at construction: each .meta must
-     * parse into a spec and its .ckpt (if any) must restore into a
-     * live session. Corrupt pairs are quarantined (renamed with a
+     * pass its KvFile checksum and parse into a spec, and its .ckpt
+     * (if any) must pass its checksum and restore into a live
+     * session. Corrupt pairs are quarantined (renamed with a
      * `.quarantine` suffix) and counted, so one torn file can never
      * take the daemon down or poison a later resume; healthy sessions
      * keep serving. Orphan .ckpt files (no .meta) are quarantined too.

@@ -12,15 +12,20 @@
  *
  * The hash is stable across processes and platforms (it depends only
  * on the mixed byte sequence), which is what lets fingerprints key
- * on-disk cache segments and checkpoint schema checks.
+ * on-disk cache segments, checkpoint schema checks and KvFile's file
+ * checksum.
  */
 
 #ifndef PETABRICKS_SUPPORT_HASH_H
 #define PETABRICKS_SUPPORT_HASH_H
 
 #include <bit>
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <string>
+
+#include "support/error.h"
 
 namespace petabricks {
 
@@ -75,6 +80,27 @@ class Fnv1a
 
     uint64_t hash_ = kOffset;
 };
+
+/** 16-digit lower-case hex, the text form of every fingerprint,
+ * checksum and exact double bit pattern. */
+inline std::string
+hex16(uint64_t value)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
+    return buf;
+}
+
+/** Inverse of hex16(); FatalError naming @p what on malformed text. */
+inline uint64_t
+parseHex16(const std::string &text, const char *what)
+{
+    uint64_t value = 0;
+    char trailing = 0;
+    if (std::sscanf(text.c_str(), "%" SCNx64 " %c", &value, &trailing) != 1)
+        PB_FATAL("malformed " << what << " '" << text << "'");
+    return value;
+}
 
 } // namespace petabricks
 

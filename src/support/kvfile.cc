@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -12,10 +13,14 @@
 
 #include "support/crashpoint.h"
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace petabricks {
 
 namespace {
+
+/** The integrity line save()/saveAtomic() append and load() strips. */
+const std::string kChecksumKey = "kv.checksum";
 
 std::string
 trim(const std::string &s)
@@ -25,6 +30,29 @@ trim(const std::string &s)
         return "";
     size_t end = s.find_last_not_of(" \t\r\n");
     return s.substr(begin, end - begin + 1);
+}
+
+/** FNV-1a over every entry in sorted key order. */
+uint64_t
+checksum(const KvFile &kv)
+{
+    Fnv1a hash;
+    for (const std::string &key : kv.keys()) {
+        hash.mix(key);
+        hash.mix(kv.get(key));
+    }
+    return hash.value();
+}
+
+/** What save()/saveAtomic() write: the text plus its checksum line,
+ * computed over the entries as load() parses them back (trimmed), so
+ * every file that can be written also verifies. */
+std::string
+signedText(const KvFile &kv)
+{
+    const std::string text = kv.toString();
+    return text + kChecksumKey + " = " +
+           hex16(checksum(KvFile::fromString(text))) + "\n";
 }
 
 } // namespace
@@ -37,6 +65,8 @@ KvFile::set(const std::string &key, const std::string &value)
               "invalid key '" << key << "'");
     PB_ASSERT(value.find('\n') == std::string::npos,
               "value for '" << key << "' contains newline");
+    PB_ASSERT(key != kChecksumKey,
+              "'" << kChecksumKey << "' is reserved for the file checksum");
     entries_[key] = value;
 }
 
@@ -49,10 +79,9 @@ KvFile::setInt(const std::string &key, int64_t value)
 void
 KvFile::setDouble(const std::string &key, double value)
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << value;
-    set(key, oss.str());
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    set(key, std::string(buf, end));
 }
 
 void
@@ -104,17 +133,18 @@ double
 KvFile::getDouble(const std::string &key) const
 {
     const std::string &raw = get(key);
-    try {
-        size_t pos = 0;
-        double value = std::stod(raw, &pos);
-        if (pos != raw.size())
-            PB_FATAL("trailing junk in double key '" << key << "': " << raw);
-        return value;
-    } catch (const std::invalid_argument &) {
-        PB_FATAL("key '" << key << "' is not a double: " << raw);
-    } catch (const std::out_of_range &) {
+    // from_chars, unlike stod, accepts denormals, so every value
+    // setDouble() writes reads back bit-exactly.
+    double value = 0.0;
+    const char *last = raw.data() + raw.size();
+    auto [end, ec] = std::from_chars(raw.data(), last, value);
+    if (ec == std::errc::result_out_of_range)
         PB_FATAL("key '" << key << "' out of double range: " << raw);
-    }
+    if (ec != std::errc())
+        PB_FATAL("key '" << key << "' is not a double: " << raw);
+    if (end != last)
+        PB_FATAL("trailing junk in double key '" << key << "': " << raw);
+    return value;
 }
 
 std::vector<int64_t>
@@ -191,7 +221,7 @@ KvFile::save(const std::string &path) const
     std::ofstream out(path);
     if (!out)
         PB_FATAL("cannot open '" << path << "' for writing");
-    out << toString();
+    out << signedText(*this);
     if (!out)
         PB_FATAL("write to '" << path << "' failed");
 }
@@ -201,7 +231,7 @@ KvFile::saveAtomic(const std::string &path,
                    const std::string &crashPrefix) const
 {
     const std::string temp = path + ".tmp";
-    const std::string payload = toString();
+    const std::string payload = signedText(*this);
 
     crashpoint::fire(crashPrefix + ".pre_write");
 
@@ -277,7 +307,16 @@ KvFile::load(const std::string &path)
         PB_FATAL("cannot open '" << path << "' for reading");
     std::ostringstream oss;
     oss << in.rdbuf();
-    return fromString(oss.str());
+    KvFile kv = fromString(oss.str());
+    auto it = kv.entries_.find(kChecksumKey);
+    if (it == kv.entries_.end())
+        PB_FATAL("'" << path << "' has no " << kChecksumKey
+                     << " line (torn, or written before files carried one)");
+    const uint64_t stored = parseHex16(it->second, "file checksum");
+    kv.entries_.erase(it);
+    if (stored != checksum(kv))
+        PB_FATAL("'" << path << "' fails its checksum (torn or edited?)");
+    return kv;
 }
 
 } // namespace petabricks

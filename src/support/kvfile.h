@@ -6,6 +6,13 @@
  * configuration file* (Section 3, Figure 3). We keep the same plain-text
  * model: one `key = value` per line, '#' comments, stable ordering so
  * files diff cleanly across tuner generations.
+ *
+ * save()/saveAtomic() end every file with `kv.checksum = <16 hex>`,
+ * FNV-1a over every other entry as the parser reads it back, in key
+ * order. load() requires, verifies and strips that line, so a torn,
+ * edited or pre-checksum file is a FatalError, which every store's
+ * boot fsck quarantines. It is the only checksum persisted artifacts
+ * carry. toString()/fromString() (HTTP bodies) are checksum-free.
  */
 
 #ifndef PETABRICKS_SUPPORT_KVFILE_H
@@ -22,9 +29,11 @@ namespace petabricks {
 class KvFile
 {
   public:
-    /** Set (or overwrite) a key. */
+    /** Set (or overwrite) a key. `kv.checksum` is reserved. */
     void set(const std::string &key, const std::string &value);
     void setInt(const std::string &key, int64_t value);
+    /** Shortest decimal that getDouble() reads back bit-exactly
+     * (inf/nan included). */
     void setDouble(const std::string &key, double value);
     void setIntList(const std::string &key,
                     const std::vector<int64_t> &values);
@@ -46,13 +55,14 @@ class KvFile
 
     size_t size() const { return entries_.size(); }
 
-    /** Render to the on-disk text format. */
+    /** Render to the text format (no checksum line). */
     std::string toString() const;
 
-    /** Parse from the on-disk text format; fatal error on bad syntax. */
+    /** Parse the text format; fatal error on bad syntax. */
     static KvFile fromString(const std::string &text);
 
-    /** Write to @p path; fatal error on I/O failure. */
+    /** Write to @p path with its checksum line; fatal error on I/O
+     * failure. */
     void save(const std::string &path) const;
 
     /**
@@ -68,7 +78,8 @@ class KvFile
     void saveAtomic(const std::string &path,
                     const std::string &crashPrefix) const;
 
-    /** Read from @p path; fatal error on I/O failure or bad syntax. */
+    /** Read from @p path; fatal error on I/O failure, bad syntax, or
+     * a missing or mismatched checksum line. */
     static KvFile load(const std::string &path);
 
     bool operator==(const KvFile &other) const = default;

@@ -463,9 +463,7 @@ TuningSession::load(const std::string &path)
     report_.mutationsAccepted = kv.getInt("session.mutationsAccepted");
     report_.mutationsRejected = kv.getInt("session.mutationsRejected");
     report_.cacheHits = kv.getInt("session.cacheHits");
-    // Absent in pre-fault-tolerance checkpoints: default, don't fail.
-    report_.evaluationFailures =
-        kv.getIntOr("session.evaluationFailures", 0);
+    report_.evaluationFailures = kv.getInt("session.evaluationFailures");
     report_.tuningSeconds = kv.getDouble("session.tuningSeconds");
     report_.compileSeconds = kv.getDouble("session.compileSeconds");
 

@@ -198,7 +198,8 @@ class TuningSession
      * been constructed with the same seed configuration and options as
      * the saved one (validated via the seed fingerprint); the
      * evaluation and compile caches restart cold, which affects only
-     * the modeled tuning-time accounting, never the champion.
+     * the modeled tuning-time accounting, never the champion. A file
+     * that fails its KvFile checksum (torn, edited) is a FatalError.
      */
     void load(const std::string &path);
 

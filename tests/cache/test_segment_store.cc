@@ -10,9 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 
 #include "cache/segment_store.h"
-#include "support/kvfile.h"
 
 using namespace petabricks;
 using namespace petabricks::cache;
@@ -138,12 +138,17 @@ TEST(SegmentStore, FsckQuarantinesChecksumMismatch)
     std::string path;
     for (const fs::directory_entry &entry : fs::directory_iterator(dir))
         path = entry.path().string();
-    // Flip one payload value; the file still parses as a kvfile.
-    KvFile kv = KvFile::load(path);
-    std::string entry0 = kv.get("entry.0");
-    entry0[0] = entry0[0] == 'f' ? 'e' : 'f';
-    kv.set("entry.0", entry0);
-    kv.save(path);
+    // Flip one byte of the first record's scope on disk; the file
+    // still parses as a kvfile and the record as a record.
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    size_t pos = text.find("entry.0 = ");
+    ASSERT_NE(pos, std::string::npos);
+    pos += std::string("entry.0 = ").size();
+    text[pos] = text[pos] == 'f' ? 'e' : 'f';
+    std::ofstream(path) << text;
 
     SegmentStore store(dir);
     EXPECT_TRUE(store.loadAll().empty());

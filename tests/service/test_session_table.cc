@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <thread>
 
 #include "service/session_table.h"
@@ -339,6 +340,48 @@ TEST(SessionTable, SpoolFsckQuarantinesCorruptPairsAndKeepsHealthyOnes)
         table.step(healthyId, 8);
     expectChampionMatches(table.champion(healthyId),
                           runSpecLocally(tinySpec(7)));
+}
+
+TEST(SessionTable, SpoolFsckQuarantinesOneDigitCheckpointEdit)
+{
+    std::string spool = spoolDir("digit");
+    std::string editedId;
+    std::string healthyId;
+    {
+        SessionTableOptions options;
+        options.spoolDir = spool;
+        SessionTable table(options);
+        editedId = table.create(tinySpec(11));
+        healthyId = table.create(tinySpec(12));
+        table.step(editedId, 2);
+        table.step(healthyId, 2);
+    }
+
+    // Change one digit of a member's cost in a live checkpoint: the
+    // file still parses and rehydrates, so only its checksum can tell.
+    const std::string ckpt = spool + "/" + editedId + ".ckpt";
+    std::ifstream in(ckpt);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    const std::string key = "population.0.seconds = ";
+    size_t pos = text.find(key);
+    ASSERT_NE(pos, std::string::npos);
+    pos = text.find_first_of("0123456789", pos + key.size());
+    ASSERT_NE(pos, std::string::npos);
+    text[pos] = text[pos] == '9' ? '8' : static_cast<char>(text[pos] + 1);
+    std::ofstream(ckpt, std::ios::trunc) << text;
+
+    SessionTableOptions options;
+    options.spoolDir = spool;
+    SessionTable table(options);
+    EXPECT_EQ(table.stats().spoolQuarantined, 1);
+    EXPECT_TRUE(fs::exists(spool + "/" + editedId + ".meta.quarantine"));
+    EXPECT_TRUE(fs::exists(ckpt + ".quarantine"));
+    EXPECT_THROW(table.resume(editedId), FatalError);
+
+    table.resume(healthyId);
+    EXPECT_EQ(table.status(healthyId).completedSteps, 2);
 }
 
 TEST(SessionTable, FsckCanBeDisabled)

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "support/error.h"
@@ -148,6 +149,24 @@ TEST_F(CheckpointErrors, TruncatedFileIsRejected)
         // Clean rejection path (which key is missed first depends on
         // sort order; any FatalError is correct).
     }
+}
+
+TEST_F(CheckpointErrors, OneDigitEditIsRejected)
+{
+    // A bit-flipped but still parseable checkpoint: one digit of a
+    // member's cost changes, every key and the syntax stay valid. Only
+    // the file checksum can tell.
+    std::ifstream in(path_);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    size_t pos = text.find("population.0.seconds = ");
+    ASSERT_NE(pos, std::string::npos);
+    pos = text.find_first_of("0123456789", pos + 23);
+    ASSERT_NE(pos, std::string::npos);
+    text[pos] = text[pos] == '9' ? '8' : static_cast<char>(text[pos] + 1);
+    std::ofstream(path_, std::ios::trunc) << text;
+    expectLoadThrows();
 }
 
 TEST_F(CheckpointErrors, MismatchedSeedFingerprintIsRejected)

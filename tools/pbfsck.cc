@@ -9,6 +9,7 @@
  *   pbfsck list DIR...            every file, classified, quarantines
  *                                 flagged
  *   pbfsck inspect FILE...        dump a quarantined (or any) kv file
+ *                                 and its KvFile::load verdict
  *   pbfsck purge [--temps] DIR... delete quarantine files (and, with
  *                                 --temps, `*.tmp` crash debris)
  *
@@ -23,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "support/error.h"
 #include "support/fsck.h"
+#include "support/kvfile.h"
 
 using namespace petabricks;
 
@@ -37,7 +40,7 @@ usage()
         "  list DIR...             classify every file; exit 1 if any\n"
         "                          *.quarantine files exist\n"
         "  inspect FILE...         print a file's contents with its\n"
-        "                          classification\n"
+        "                          classification and checksum verdict\n"
         "  purge [--temps] DIR...  delete *.quarantine files (and *.tmp\n"
         "                          with --temps)\n";
 }
@@ -86,6 +89,13 @@ inspectFiles(const std::vector<std::string> &paths)
                   << content.str();
         if (!content.str().empty() && content.str().back() != '\n')
             std::cout << "\n(no trailing newline — torn write?)\n";
+        // The verdict the stores' boot fsck acts on.
+        try {
+            KvFile::load(path);
+            std::cout << "checksum: ok\n";
+        } catch (const FatalError &e) {
+            std::cout << "checksum: " << e.what() << "\n";
+        }
     }
     return rc;
 }
