@@ -133,14 +133,6 @@ appendKernelSources(std::vector<std::string> &sources,
         sources.push_back("pbcl:" + rule + ":local");
 }
 
-/** Count-only twin of appendKernelSources() (Benchmark::kernelCount):
- * how many source ids the stage would contribute, with no synthesis. */
-inline int
-stageKernelCount(const compiler::StageConfig &stage)
-{
-    return stage.backend == compiler::Backend::Cpu ? 0 : 1;
-}
-
 } // namespace apps
 } // namespace petabricks
 

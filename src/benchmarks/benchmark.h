@@ -172,18 +172,6 @@ class Benchmark
         return {};
     }
 
-    /**
-     * Number of kernel sources @p config JIT-compiles — what
-     * engine::RunResult reports. Benchmarks whose kernelSources()
-     * synthesizes source identities should override this with a
-     * count-only path; the default falls back to sources.
-     */
-    virtual int
-    kernelCount(const tuner::Config &config, int64_t n) const
-    {
-        return static_cast<int>(kernelSources(config, n).size());
-    }
-
     /** Figure 8: the "Testing Input Size" column. */
     virtual int64_t testingInputSize() const = 0;
 

@@ -174,13 +174,6 @@ BlackScholesBenchmark::kernelSources(const tuner::Config &config,
     return sources;
 }
 
-int
-BlackScholesBenchmark::kernelCount(const tuner::Config &config,
-                                   int64_t n) const
-{
-    return stageKernelCount(planFor(config, n).stages[0]);
-}
-
 std::string
 BlackScholesBenchmark::describeConfig(const tuner::Config &config,
                                       int64_t n) const

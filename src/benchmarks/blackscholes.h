@@ -45,8 +45,6 @@ class BlackScholesBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 500000; }
     int64_t minTuningSize() const override { return 4096; }
     int openclKernelCount() const override { return 1; }

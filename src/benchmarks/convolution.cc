@@ -247,17 +247,6 @@ ConvolutionBenchmark::kernelSources(const tuner::Config &config,
 }
 
 int
-ConvolutionBenchmark::kernelCount(const tuner::Config &config,
-                                  int64_t n) const
-{
-    compiler::TransformConfig plan = planFor(config, n);
-    int count = 0;
-    for (const compiler::StageConfig &stage : plan.stages)
-        count += stageKernelCount(stage);
-    return count;
-}
-
-int
 ConvolutionBenchmark::openclKernelCount() const
 {
     return compiler::countSynthesizedKernels(*transform_);

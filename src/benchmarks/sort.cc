@@ -472,17 +472,6 @@ SortBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
     return {};
 }
 
-int
-SortBenchmark::kernelCount(const tuner::Config &config, int64_t n) const
-{
-    const tuner::Selector &algorithm =
-        config.selector("Sort.algorithm");
-    for (int64_t s = n; s >= 1; s /= 2)
-        if (algorithm.select(s) == kSortBitonicGpu)
-            return 1;
-    return 0;
-}
-
 std::string
 SortBenchmark::describeConfig(const tuner::Config &config,
                               int64_t n) const

@@ -53,8 +53,6 @@ class SortBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 1 << 20; }
     int openclKernelCount() const override { return 7; }
     std::string describeConfig(const tuner::Config &config,

@@ -373,16 +373,6 @@ TridiagBenchmark::kernelSources(const tuner::Config &config,
     return {};
 }
 
-int
-TridiagBenchmark::kernelCount(const tuner::Config &config,
-                              int64_t n) const
-{
-    return config.selector("Tridiag.algorithm").select(n) ==
-                   kTriCyclicGpu
-               ? 1
-               : 0;
-}
-
 std::string
 TridiagBenchmark::describeConfig(const tuner::Config &config,
                                  int64_t n) const

@@ -260,14 +260,19 @@ EnginePool::reapWedged()
 }
 
 bool
-EnginePool::runItem(Instance &instance, size_t i,
-                    const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+EnginePool::runItem(Instance &instance, const apps::Benchmark &benchmark,
+                    std::span<const tuner::Config> configs, int64_t n,
+                    size_t i, std::vector<double> &results,
                     std::vector<std::exception_ptr> &errors)
 {
     const RetryPolicy &policy = retryPolicy();
+    ExecutionEngine *engine = instance.engine.get();
     for (int attempt = 1;; ++attempt) {
         try {
-            evaluateItem(instance, i);
+            results[i] =
+                timedCall(instance, [engine, &benchmark, configs, n, i] {
+                    return engine->measure(benchmark, configs[i], n);
+                });
             recordSuccess(instance);
             return true;
         } catch (const LaneTimeout &) {
@@ -284,10 +289,11 @@ EnginePool::runItem(Instance &instance, size_t i,
             recordRetry(instance);
             retryBackoffSleep(policy, attempt);
         } catch (const FatalError &) {
-            // Deterministic property of the configuration, not an
-            // instance fault: the evaluation completed.
+            // Infeasible configuration: a deterministic property of the
+            // configuration, not an instance fault. Worst cost, and
+            // cacheable — unlike the NaN evaluation-failure sentinel.
             recordSuccess(instance);
-            errors[i] = onFatal(i, std::current_exception());
+            results[i] = std::numeric_limits<double>::infinity();
             return true;
         } catch (...) {
             recordSuccess(instance);
@@ -297,13 +303,16 @@ EnginePool::runItem(Instance &instance, size_t i,
     }
 }
 
-void
-EnginePool::fanOut(const apps::Benchmark &benchmark, size_t count,
-                   const EvaluateItem &evaluateItem, const OnFatal &onFatal,
-                   const OnGiveUp &onGiveUp)
+std::vector<double>
+EnginePool::measureBatch(const apps::Benchmark &benchmark,
+                         std::span<const tuner::Config> configs, int64_t n)
 {
+    // An item no instance can finish keeps the NaN sentinel.
+    const size_t count = configs.size();
+    std::vector<double> results(count,
+                                std::numeric_limits<double>::quiet_NaN());
     if (count == 0)
-        return;
+        return results;
     Reaper reaper(*this);
     std::vector<Instance *> lanes = laneSet(benchmark);
     if (lanes.size() > count)
@@ -325,7 +334,8 @@ EnginePool::fanOut(const apps::Benchmark &benchmark, size_t count,
         Instance &instance = *lanes[lane];
         for (size_t i = lane; i < count; i += lanes.size())
             if (isQuarantined(instance) ||
-                !runItem(instance, i, evaluateItem, onFatal, errors))
+                !runItem(instance, benchmark, configs, n, i, results,
+                         errors))
                 laneLeftovers[lane].push_back(i);
     });
     for (const std::vector<size_t> &mine : laneLeftovers)
@@ -341,70 +351,15 @@ EnginePool::fanOut(const apps::Benchmark &benchmark, size_t count,
     for (size_t i : leftovers) {
         Instance *floor = firstLive();
         if (floor != nullptr &&
-            runItem(*floor, i, evaluateItem, onFatal, errors))
+            runItem(*floor, benchmark, configs, n, i, results, errors))
             continue;
         noteEvaluationFailure();
-        errors[i] = onGiveUp(i);
+        PB_WARN("evaluation of batch item "
+                << i << " failed on every available instance; "
+                   "pricing as worst cost (not cached)");
     }
 
     throwFirstLogRest(errors);
-}
-
-std::vector<double>
-EnginePool::measureBatch(const apps::Benchmark &benchmark,
-                         std::span<const tuner::Config> configs, int64_t n)
-{
-    std::vector<double> results(configs.size(),
-                                std::numeric_limits<double>::quiet_NaN());
-    fanOut(
-        benchmark, configs.size(),
-        [&](Instance &instance, size_t i) {
-            ExecutionEngine *engine = instance.engine.get();
-            results[i] = timedCall(instance, [engine, &benchmark, configs,
-                                              n, i] {
-                return engine->measure(benchmark, configs[i], n);
-            });
-        },
-        [&](size_t i, std::exception_ptr) -> std::exception_ptr {
-            // Infeasible configuration: worst cost, cacheable — unlike
-            // the NaN evaluation-failure sentinel.
-            results[i] = std::numeric_limits<double>::infinity();
-            return nullptr;
-        },
-        [](size_t i) -> std::exception_ptr {
-            PB_WARN("evaluation of batch item "
-                    << i << " failed on every available instance; "
-                       "pricing as worst cost (not cached)");
-            return nullptr;
-        });
-    return results;
-}
-
-std::vector<RunResult>
-EnginePool::runBatch(const apps::Benchmark &benchmark,
-                     std::span<const tuner::Config> configs, int64_t n)
-{
-    std::vector<RunResult> results(configs.size());
-    fanOut(
-        benchmark, configs.size(),
-        [&](Instance &instance, size_t i) {
-            ExecutionEngine *engine = instance.engine.get();
-            // The watchdog may abandon the evaluation mid-flight, so it
-            // writes a slot it owns, never the shared results array.
-            auto slot = std::make_shared<RunResult>();
-            timedCall(instance, [engine, slot, &benchmark, configs, n,
-                                 i]() -> double {
-                *slot = engine->run(benchmark, configs[i], n);
-                return 0.0;
-            });
-            results[i] = *slot;
-        },
-        [](size_t, std::exception_ptr error) { return error; },
-        [](size_t i) {
-            return std::make_exception_ptr(TransientError(
-                "batch item " + std::to_string(i) +
-                " failed on every available pool instance"));
-        });
     return results;
 }
 

@@ -13,7 +13,7 @@
  * autotuner test processes on N machines. Which instance sees which
  * item never depends on thread timing.
  *
- * Failure semantics (measureBatch, the tuner path):
+ * Failure semantics (measureBatch, the pool's one batch call):
  *  - TransientError from an instance is retried on that instance with
  *    bounded exponential backoff (the pool's RetryPolicy).
  *  - An item that exhausts its retries is handed to a surviving
@@ -123,10 +123,9 @@ class EnginePool : public ExecutionEngine
     bool
     concurrentInstancesSafe(const apps::Benchmark &benchmark) const override;
 
-    std::vector<RunResult> runBatch(const apps::Benchmark &benchmark,
-                                    std::span<const tuner::Config> configs,
-                                    int64_t n) override;
-
+    /** The fan-out (see file comment); an unexpected exception (not
+     * an evaluation-level failure) from an item is rethrown, the first
+     * by index, after the whole batch has run. */
     std::vector<double>
     measureBatch(const apps::Benchmark &benchmark,
                  std::span<const tuner::Config> configs,
@@ -140,15 +139,6 @@ class EnginePool : public ExecutionEngine
         std::vector<std::thread> wedged;  ///< watchdog-abandoned evals
     };
 
-    /** Evaluates one batch item on an instance and stores its result. */
-    using EvaluateItem = std::function<void(Instance &, size_t)>;
-    /** Maps item i's FatalError to the error to record (null: none). */
-    using OnFatal =
-        std::function<std::exception_ptr(size_t, std::exception_ptr)>;
-    /** What giving up on item i produces: the error to record (null:
-     * none, the result keeps its failure sentinel). */
-    using OnGiveUp = std::function<std::exception_ptr(size_t)>;
-
     /** Joins watchdog-abandoned evaluations when a batch call unwinds,
      * so they can never outlive the configs span they reference. */
     struct Reaper
@@ -158,28 +148,20 @@ class EnginePool : public ExecutionEngine
         EnginePool &pool_;
     };
 
-    /**
-     * The batch skeleton measureBatch and runBatch share: @p count
-     * items in fixed lanes on lanePool_, then one index-ordered serial
-     * floor pass for whatever a lane could not finish, then the first
-     * recorded error (by index) is rethrown.
-     */
-    void fanOut(const apps::Benchmark &benchmark, size_t count,
-                const EvaluateItem &evaluateItem, const OnFatal &onFatal,
-                const OnGiveUp &onGiveUp);
-
     /** The live instances a batch for @p benchmark may use: all of
      * them, or just the first when concurrent instances are unsafe. */
     std::vector<Instance *> laneSet(const apps::Benchmark &benchmark);
 
     /**
-     * One item (@p i) on one instance, with the pool's retry loop:
-     * transient failures back off and retry in place; FatalError and
-     * unexpected exceptions finish the item, recording into @p errors.
-     * Returns false when the item needs another instance.
+     * Item @p i of a measureBatch on one instance, with the pool's
+     * retry loop: transient failures back off and retry in place; the
+     * seconds, or +inf for an infeasible config (FatalError), land in
+     * @p results; an unexpected exception finishes the item into
+     * @p errors. Returns false when the item needs another instance.
      */
-    bool runItem(Instance &instance, size_t i,
-                 const EvaluateItem &evaluateItem, const OnFatal &onFatal,
+    bool runItem(Instance &instance, const apps::Benchmark &benchmark,
+                 std::span<const tuner::Config> configs, int64_t n,
+                 size_t i, std::vector<double> &results,
                  std::vector<std::exception_ptr> &errors);
 
     /**

@@ -51,7 +51,6 @@ introspectionToKv(const tuner::SessionIntrospection &view)
     kv.setInt("cache.misses", view.cacheStats.misses);
     kv.setInt("cache.insertions", view.cacheStats.insertions);
     kv.setInt("cache.invalidated", view.cacheStats.invalidated);
-    kv.setInt("cache.evictions", view.cacheStats.evictions);
     kv.setInt("cache.bytes",
               static_cast<int64_t>(view.cacheStats.bytes));
     // This session's traffic against the process-wide L2 tier (all

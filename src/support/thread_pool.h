@@ -2,7 +2,7 @@
  * @file
  * A minimal reusable fork-join thread pool.
  *
- * The batched evaluation path (engine::ModelEngine::runBatch and
+ * The batched evaluation path (engine::ModelEngine::measureBatch and
  * engine::EnginePool) prices the candidates of a tuner generation in
  * parallel. Generations are small (a population is ~8-16 configs) and
  * frequent, so spawning threads per batch would dominate; the pool

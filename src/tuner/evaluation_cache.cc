@@ -45,29 +45,6 @@ EvaluationCache::insertFingerprint(uint64_t fingerprint,
     if (inserted)
         stats_.bytes += kEntryBytes;
     ++stats_.insertions;
-    if (maxEntries_ > 0 && entries_.size() > maxEntries_) {
-        // Evict from the front: map order is size-first, so the
-        // smallest-size entries go first — they are also the ones the
-        // growing test-size schedule is least likely to consult again.
-        while (entries_.size() > maxEntries_) {
-            entries_.erase(entries_.begin());
-            ++stats_.evictions;
-            stats_.bytes -= kEntryBytes;
-        }
-    }
-}
-
-void
-EvaluationCache::setMaxEntries(size_t maxEntries)
-{
-    maxEntries_ = maxEntries;
-    if (maxEntries_ > 0) {
-        while (entries_.size() > maxEntries_) {
-            entries_.erase(entries_.begin());
-            ++stats_.evictions;
-            stats_.bytes -= kEntryBytes;
-        }
-    }
 }
 
 void

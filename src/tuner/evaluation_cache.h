@@ -33,7 +33,7 @@
 namespace petabricks {
 namespace tuner {
 
-/** Hit/miss/eviction/byte accounting, exposed via TuningSession and
+/** Hit/miss/byte accounting, exposed via TuningSession and
  * tests. Counters are cumulative; bytes is the live footprint. */
 struct EvaluationCacheStats
 {
@@ -41,7 +41,6 @@ struct EvaluationCacheStats
     int64_t misses = 0;
     int64_t insertions = 0;
     int64_t invalidated = 0; // entries dropped by invalidateBelow()
-    int64_t evictions = 0;   // entries dropped by the capacity bound
     size_t bytes = 0;        // nominal in-memory footprint right now
 };
 
@@ -88,14 +87,6 @@ class EvaluationCache
     /** Drop all entries (stats are cumulative and survive). */
     void clear();
 
-    /**
-     * Bound the cache to @p maxEntries entries (0 = unbounded, the
-     * default). When an insert pushes past the bound, smallest-size
-     * entries are evicted first — the growing test-size schedule
-     * consults them least — and counted in stats().evictions.
-     */
-    void setMaxEntries(size_t maxEntries);
-
     size_t size() const { return entries_.size(); }
 
     const EvaluationCacheStats &stats() const { return stats_; }
@@ -103,7 +94,6 @@ class EvaluationCache
   private:
     // Ordered by size first so invalidateBelow() is a range erase.
     std::map<std::pair<int64_t, uint64_t>, double> entries_;
-    size_t maxEntries_ = 0;
     EvaluationCacheStats stats_;
 };
 

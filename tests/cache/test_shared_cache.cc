@@ -424,8 +424,9 @@ TEST(SharedCacheHammer, PersistentConcurrentFlush)
     uint64_t owner = warm.registerOwner();
     EXPECT_GT(warm.stats().loadedEntries, 0);
     for (uint64_t key = 0; key < 300; ++key)
-        if (std::optional<double> hit = warm.lookup(7, 64, key, owner))
+        if (std::optional<double> hit = warm.lookup(7, 64, key, owner)) {
             EXPECT_EQ(*hit, static_cast<double>(key) + 0.5) << key;
+        }
 }
 
 } // namespace

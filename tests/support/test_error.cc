@@ -26,7 +26,10 @@ TEST(Error, FatalMessageContainsPayloadAndLocation)
     } catch (const FatalError &err) {
         std::string what = err.what();
         EXPECT_NE(what.find("value=7"), std::string::npos) << what;
-        EXPECT_NE(what.find("test_error.cc"), std::string::npos) << what;
+        // Source-relative, so the text carries no build-tree path.
+        EXPECT_NE(what.find("fatal at tests/support/test_error.cc:"),
+                  std::string::npos)
+            << what;
     }
 }
 
