@@ -1,15 +1,25 @@
 /**
  * Microbenchmarks of the runtime substrates (google-benchmark): deque
  * operations, task lifecycle, steal throughput, command-queue
- * round-trips, GPU memory table dedup, and the schedule simulator.
+ * round-trips, GPU memory table dedup, the schedule simulator, and the
+ * checkpoint layers every daemon boot and step pays (KvFile::load of a
+ * spooled checkpoint, TuningSession::checkpointKv plus its signed
+ * render, TuningSession::load).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
+#include "benchmarks/registry.h"
 #include "compiler/simulator.h"
+#include "engine/execution_engine.h"
 #include "ocl/queue.h"
 #include "runtime/runtime.h"
+#include "service/hosted_session.h"
 #include "sim/machine.h"
+#include "support/kvfile.h"
+#include "tuner/session.h"
 
 using namespace petabricks;
 
@@ -117,6 +127,67 @@ BM_ScheduleSimulator(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ScheduleSimulator);
+
+/**
+ * A session as tunerd spools one: a Sort search on Desktop with the
+ * daemon's create-request defaults, population 8, stepped twice, so
+ * its checkpoint has the size and shape of a spooled `.ckpt`.
+ */
+struct SpooledSession
+{
+    service::SessionSpec spec = [] {
+        KvFile body;
+        body.set("benchmark", "Sort");
+        body.set("machine", "Desktop");
+        body.setInt("populationSize", 8);
+        body.setInt("generationsPerSize", 3);
+        body.setInt("seed", 20130316);
+        return service::SessionSpec::fromCreateRequest(body);
+    }();
+    apps::BenchmarkPtr benchmark = apps::findBenchmark(spec.benchmark);
+    engine::ModelEngine engine{sim::MachineProfile::byName(spec.machine)};
+    engine::EngineEvaluator evaluator{*benchmark, engine};
+    tuner::TuningSession session{evaluator, benchmark->seedConfig(),
+                                 spec.tuner};
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "pb_micro_session.ckpt")
+            .string();
+
+    SpooledSession()
+    {
+        session.run(2);
+        session.save(path);
+    }
+    ~SpooledSession() { std::filesystem::remove(path); }
+};
+
+void
+BM_KvFileLoadCheckpoint(benchmark::State &state)
+{
+    SpooledSession spooled;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(KvFile::load(spooled.path));
+}
+BENCHMARK(BM_KvFileLoadCheckpoint);
+
+void
+BM_CheckpointSerialize(benchmark::State &state)
+{
+    // What a per-step checkpoint renders before its write and fsync.
+    SpooledSession spooled;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(spooled.session.checkpointKv().signedText());
+}
+BENCHMARK(BM_CheckpointSerialize);
+
+void
+BM_TuningSessionLoad(benchmark::State &state)
+{
+    SpooledSession spooled;
+    for (auto _ : state)
+        spooled.session.load(spooled.path);
+}
+BENCHMARK(BM_TuningSessionLoad);
 
 } // namespace
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Registry of the paper's seven benchmarks, in Figure 8 order.
+ * Registry of the eight benchmarks: the paper's seven, in Figure 8
+ * order, then Mandelbrot.
  */
 
 #ifndef PETABRICKS_BENCHMARKS_REGISTRY_H
@@ -13,7 +14,8 @@
 namespace petabricks {
 namespace apps {
 
-/** All seven benchmarks, in the paper's table order. */
+/** All eight benchmarks: the paper's seven in its table order, then
+ * Mandelbrot. */
 std::vector<BenchmarkPtr> allBenchmarks();
 
 /**

@@ -41,9 +41,7 @@ recordToKv(const ChampionRecord &record)
     KvFile kv;
     kv.setInt("portfolio.version", 1);
     championToKv(kv, "champion.", record);
-    KvFile configKv = record.config.toKv();
-    for (const std::string &key : configKv.keys())
-        kv.set("config." + key, configKv.get(key));
+    kv.setSection("config.", record.config.toKv());
     return kv;
 }
 
@@ -68,14 +66,9 @@ recordFromFile(const std::string &path)
     // The benchmark's seed config is the deserialization schema, as
     // everywhere else (checkpoints, choice files). Unknown benchmark
     // names throw here and quarantine the file.
-    KvFile configKv;
-    const std::string prefix = "config.";
-    for (const std::string &key : kv.keys())
-        if (key.rfind(prefix, 0) == 0)
-            configKv.set(key.substr(prefix.size()), kv.get(key));
     record.config =
         apps::findBenchmark(record.benchmark)->seedConfig();
-    record.config.loadValues(configKv);
+    record.config.loadValues(kv.section("config."));
     if (record.config.valueFingerprint() != record.configFingerprint)
         PB_FATAL("'" << path << "' config does not match its stored "
                      << "fingerprint");

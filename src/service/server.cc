@@ -526,9 +526,7 @@ TuningServer::dispatch(const HttpRequest &request)
         kv.setDouble("dispatch.pricedSeconds", decision.pricedSeconds);
         kv.set("dispatch.pricedSecondsBits",
                hex16(std::bit_cast<uint64_t>(decision.pricedSeconds)));
-        KvFile config = decision.champion.config.toKv();
-        for (const std::string &key : config.keys())
-            kv.set("config." + key, config.get(key));
+        kv.setSection("config.", decision.champion.config.toKv());
         return HttpResponse::ok(kv.toString());
     }
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 
 #include "support/error.h"
 
@@ -55,7 +56,7 @@ class Fnv1a
     /** Mix a string's bytes plus a 0xff terminator, so ("ab","c") and
      * ("a","bc") cannot collide. */
     Fnv1a &
-    mix(const std::string &text)
+    mix(std::string_view text)
     {
         for (unsigned char c : text) {
             hash_ ^= c;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace petabricks {
@@ -29,8 +30,12 @@ namespace petabricks {
 class KvFile
 {
   public:
-    /** Set (or overwrite) a key. `kv.checksum` is reserved. */
-    void set(const std::string &key, const std::string &value);
+    /**
+     * Set (or overwrite) a key. The key must read back as itself: not
+     * empty, no `=` or newline, no leading or trailing space, tab or
+     * CR, and no leading `#`. `kv.checksum` is reserved.
+     */
+    void set(const std::string &key, std::string value);
     void setInt(const std::string &key, int64_t value);
     /** Shortest decimal that getDouble() reads back bit-exactly
      * (inf/nan included). */
@@ -45,6 +50,8 @@ class KvFile
     const std::string &get(const std::string &key) const;
     int64_t getInt(const std::string &key) const;
     double getDouble(const std::string &key) const;
+    /** Comma-separated integers; every element (spaces around it
+     * allowed) must read as getInt() reads a value. */
     std::vector<int64_t> getIntList(const std::string &key) const;
 
     /** Value of @p key, or @p fallback if absent. */
@@ -55,11 +62,23 @@ class KvFile
 
     size_t size() const { return entries_.size(); }
 
+    /** The entries whose key starts with @p prefix, keyed by the rest
+     * of the key. */
+    KvFile section(std::string_view prefix) const;
+
+    /** Set @p prefix + key for every entry of @p values: the inverse
+     * of section(). */
+    void setSection(const std::string &prefix, const KvFile &values);
+
     /** Render to the text format (no checksum line). */
     std::string toString() const;
 
+    /** What save()/saveAtomic() write: toString() plus the
+     * `kv.checksum` line. */
+    std::string signedText() const;
+
     /** Parse the text format; fatal error on bad syntax. */
-    static KvFile fromString(const std::string &text);
+    static KvFile fromString(std::string_view text);
 
     /** Write to @p path with its checksum line; fatal error on I/O
      * failure. */

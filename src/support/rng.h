@@ -11,13 +11,81 @@
 #ifndef PETABRICKS_SUPPORT_RNG_H
 #define PETABRICKS_SUPPORT_RNG_H
 
+#include <cstddef>
 #include <cstdint>
 #include <random>
+#include <string>
+#include <string_view>
 
 namespace petabricks {
 
 /**
- * Seeded pseudo-random source wrapping a 64-bit Mersenne twister.
+ * MT19937-64 with the state layout of libstdc++'s std::mt19937_64: 312
+ * words plus the index of the next word to temper. Seeding and draws
+ * are bit-identical to std::mt19937_64, so every distribution gives the
+ * same values. Unlike the standard engine, its full state reads and
+ * writes as text without iostreams: state() renders exactly the bytes
+ * `operator<<` writes, and setState() reads them back.
+ */
+class Mt19937_64
+{
+  public:
+    using result_type = uint64_t;
+    static constexpr size_t kStateWords = 312;
+
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type(0); }
+
+    explicit Mt19937_64(result_type seed) { this->seed(seed); }
+
+    /** Same initialisation as std::mt19937_64::seed(). */
+    void
+    seed(result_type value)
+    {
+        words_[0] = value;
+        for (size_t i = 1; i < kStateWords; ++i) {
+            const uint64_t prev = words_[i - 1];
+            words_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+        }
+        next_ = kStateWords;
+    }
+
+    result_type
+    operator()()
+    {
+        if (next_ >= kStateWords)
+            twist();
+        uint64_t z = words_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ull;
+        z ^= (z << 17) & 0x71d67fffeda60000ull;
+        z ^= (z << 37) & 0xfff7eee000000000ull;
+        z ^= z >> 43;
+        return z;
+    }
+
+    /** The 312 words and the index in decimal, separated by single
+     * spaces: the bytes std::mt19937_64's operator<< writes. */
+    std::string state() const;
+
+    /**
+     * Restore a state() text. Returns false, leaving the engine
+     * unchanged, unless @p text is exactly 313 decimal numbers
+     * separated by single spaces with an index of at most 312.
+     */
+    bool setState(std::string_view text);
+
+    bool operator==(const Mt19937_64 &other) const = default;
+
+  private:
+    /** Regenerate all 312 words (libstdc++'s _M_gen_rand). */
+    void twist();
+
+    uint64_t words_[kStateWords];
+    size_t next_;
+};
+
+/**
+ * Seeded pseudo-random source over Mt19937_64.
  *
  * Provides the distributions the autotuner needs, notably the lognormal
  * scaling used by cutoff mutators (Section 5.2 of the paper: "a value is
@@ -69,15 +137,13 @@ class Rng
         return static_cast<int64_t>(scaled);
     }
 
-    /** Underlying engine, for std::shuffle and custom distributions. */
-    std::mt19937_64 &engine() { return engine_; }
-
-    /** Const view of the engine, for checkpointing its state (the
-     * twister streams its full state via operator<<). */
-    const std::mt19937_64 &engine() const { return engine_; }
+    /** Underlying engine, for std::shuffle and custom distributions,
+     * and for checkpointing its state as text. */
+    Mt19937_64 &engine() { return engine_; }
+    const Mt19937_64 &engine() const { return engine_; }
 
   private:
-    std::mt19937_64 engine_;
+    Mt19937_64 engine_;
 };
 
 } // namespace petabricks

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -397,20 +396,16 @@ TuningSession::checkpointKv() const
     kv.setDouble("session.tuningSeconds", report_.tuningSeconds);
     kv.setDouble("session.compileSeconds", report_.compileSeconds);
 
-    // The twister's full state streams as text, which is what makes
-    // the resumed mutation sequence identical to the uninterrupted one.
-    std::ostringstream rngState;
-    rngState << rng_.engine();
-    kv.set("session.rng", rngState.str());
+    // The twister's full state as text, which is what makes the
+    // resumed mutation sequence identical to the uninterrupted one.
+    kv.set("session.rng", rng_.engine().state());
 
     kv.setInt("session.population",
               static_cast<int64_t>(population_.size()));
     for (size_t i = 0; i < population_.size(); ++i) {
         const std::string prefix = memberPrefix(i);
         kv.setDouble(prefix + "seconds", population_[i].seconds);
-        KvFile values = population_[i].config.toKv();
-        for (const std::string &key : values.keys())
-            kv.set(prefix + key, values.get(key));
+        kv.setSection(prefix, population_[i].config.toKv());
     }
     return kv;
 }
@@ -467,9 +462,7 @@ TuningSession::load(const std::string &path)
     report_.tuningSeconds = kv.getDouble("session.tuningSeconds");
     report_.compileSeconds = kv.getDouble("session.compileSeconds");
 
-    std::istringstream rngState(kv.get("session.rng"));
-    rngState >> rng_.engine();
-    if (rngState.fail())
+    if (!rng_.engine().setState(kv.get("session.rng")))
         PB_FATAL("checkpoint '" << path << "' has a corrupt RNG state");
 
     int64_t count = kv.getInt("session.population");
@@ -477,11 +470,7 @@ TuningSession::load(const std::string &path)
         PB_FATAL("checkpoint '" << path << "' population is empty");
     population_.clear();
     for (int64_t i = 0; i < count; ++i) {
-        const std::string prefix = memberPrefix(static_cast<size_t>(i));
-        KvFile values;
-        for (const std::string &key : kv.keys())
-            if (key.rfind(prefix, 0) == 0)
-                values.set(key.substr(prefix.size()), kv.get(key));
+        KvFile values = kv.section(memberPrefix(static_cast<size_t>(i)));
         Member member;
         member.config = seed_;
         member.config.loadValues(values);

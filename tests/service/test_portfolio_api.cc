@@ -171,3 +171,28 @@ TEST(PortfolioApi, UnknownNamesMapToClientErrors)
     EXPECT_THROW(client.portfolioTune(body), FatalError);
     server.stop();
 }
+
+TEST(PortfolioApi, TuneRejectsJunkInTheSizeList)
+{
+    TuningServer server(portfolioServerOptions("sizes"));
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    // "256x" is not a size: the request is refused as a client error,
+    // as "256x" in any integer field is, and nothing is tuned.
+    KvFile body = tinyTuneBody();
+    body.set("sizes", "1024,4096x");
+    try {
+        client.portfolioTune(body);
+        FAIL() << "expected a 400";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("daemon error 400"),
+                  std::string::npos)
+            << error.what();
+        EXPECT_NE(std::string(error.what()).find("4096x"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(client.portfolio().getInt("portfolio.entries"), 0);
+    server.stop();
+}

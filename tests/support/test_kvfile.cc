@@ -7,8 +7,11 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "support/error.h"
+#include "support/hash.h"
 #include "support/kvfile.h"
 
 namespace petabricks {
@@ -207,6 +210,129 @@ TEST(KvFile, DoublesRoundTripBitExactlyInShortestForm)
     EXPECT_EQ(kv.get("x"), "74.343");
     kv.setDouble("x", 0.55);
     EXPECT_EQ(kv.get("x"), "0.55");
+}
+
+/** What save() wrote before it checksummed its entries directly: the
+ * text, re-parsed, checksummed key by key. */
+std::string
+reparsedSignedText(const KvFile &kv)
+{
+    const std::string text = kv.toString();
+    const KvFile back = KvFile::fromString(text);
+    Fnv1a hash;
+    for (const std::string &key : back.keys()) {
+        hash.mix(key);
+        hash.mix(back.get(key));
+    }
+    return text + "kv.checksum = " + hex16(hash.value()) + "\n";
+}
+
+TEST(KvFile, SaveBytesMatchTheReparsedChecksum)
+{
+    const std::string path = scratchPath("pb_kvfile_bytes.kv");
+    KvFile kv = sampleKv();
+    kv.set("padded", "  spaced out\t ");
+    kv.set("tabbed", "\tvalue\t");
+    kv.set("carriage", "\rvalue\r");
+    kv.set("blank", " \t\r ");
+    kv.set("empty", "");
+    kv.setIntList("list.empty", {});
+    kv.setIntList("list.full", {-3, 0, 9223372036854775807});
+    kv.set("inner key", "a = b # not a comment");
+    kv.set("hash#inside", "#");
+    EXPECT_EQ(kv.signedText(), reparsedSignedText(kv));
+    kv.save(path);
+    EXPECT_EQ(slurp(path), reparsedSignedText(kv));
+    kv.saveAtomic(path, "cache.seg");
+    EXPECT_EQ(slurp(path), reparsedSignedText(kv));
+    EXPECT_EQ(KvFile::load(path).get("carriage"), "value");
+    std::filesystem::remove(path);
+
+    KvFile none;
+    none.save(path);
+    EXPECT_EQ(slurp(path), reparsedSignedText(none));
+    EXPECT_EQ(KvFile::load(path).size(), 0u);
+    std::filesystem::remove(path);
+}
+
+TEST(KvFile, SetRejectsKeysThatDoNotReadBack)
+{
+    const std::string bad[] = {"",       " lead", "trail ", "\ttab",
+                               "cr\r",   "#note", "a=b",    "a\nb"};
+    for (const std::string &key : bad) {
+        KvFile kv;
+        EXPECT_THROW(kv.set(key, "v"), PanicError) << "'" << key << "'";
+    }
+    KvFile kv;
+    kv.set("inner space", "v");
+    kv.set("not#first", "v");
+    EXPECT_EQ(KvFile::fromString(kv.toString()), kv);
+}
+
+TEST(KvFile, IntListRejectsJunkInAnyElement)
+{
+    KvFile kv;
+    kv.set("junk", "64,256x");
+    EXPECT_THROW(kv.getIntList("junk"), FatalError);
+    kv.set("junk", "64x,256");
+    EXPECT_THROW(kv.getIntList("junk"), FatalError);
+    kv.set("gap", "1,,2");
+    EXPECT_THROW(kv.getIntList("gap"), FatalError);
+    kv.set("tail", "1,2,");
+    EXPECT_THROW(kv.getIntList("tail"), FatalError);
+    kv.set("range", "1,99999999999999999999");
+    EXPECT_THROW(kv.getIntList("range"), FatalError);
+
+    kv.set("spaced", " 64 ,\t+256, -3 ");
+    EXPECT_EQ(kv.getIntList("spaced"), (std::vector<int64_t>{64, 256, -3}));
+    kv.set("blank", " \t ");
+    EXPECT_TRUE(kv.getIntList("blank").empty());
+}
+
+TEST(KvFile, GetIntAcceptsExactlyWhatStollReadsWhole)
+{
+    const std::string inputs[] = {
+        "0",     "-0",   "42",    "+42",   "-42",  " 7",   "\t7",
+        "\v\f7", "\r-7", "007",   "7 ",    "7x",   "x7",   "",
+        " ",     "+",    "-",     "+-7",   "-+7",  "+ 7",  "0x10",
+        "1e3",   "7.0",  "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999x"};
+    for (const std::string &input : inputs) {
+        std::optional<int64_t> expected;
+        try {
+            size_t pos = 0;
+            int64_t value = std::stoll(input, &pos);
+            if (pos == input.size())
+                expected = value;
+        } catch (const std::exception &) {
+        }
+        KvFile kv;
+        kv.set("k", input);
+        if (expected) {
+            EXPECT_EQ(kv.getInt("k"), *expected) << "'" << input << "'";
+        } else {
+            EXPECT_THROW(kv.getInt("k"), FatalError) << "'" << input << "'";
+        }
+    }
+}
+
+TEST(KvFile, SectionsSplitAndJoinByPrefix)
+{
+    KvFile member;
+    member.setInt("seconds", 3);
+    member.setIntList("sort.cutoffs", {64});
+    KvFile kv;
+    kv.setInt("population", 2);
+    kv.setSection("population.0.", member);
+    kv.setSection("population.1.", member);
+    kv.setInt("population.10.seconds", 5);
+    EXPECT_EQ(kv.section("population.1."), member);
+    EXPECT_EQ(kv.section("population.0.").keys(),
+              (std::vector<std::string>{"seconds", "sort.cutoffs"}));
+    EXPECT_EQ(kv.section("population.10.").getInt("seconds"), 5);
+    EXPECT_EQ(kv.section("population.2.").size(), 0u);
+    EXPECT_EQ(kv.section("").size(), kv.size());
 }
 
 TEST(KvFile, LoadMissingFileIsFatal)
